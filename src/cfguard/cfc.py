@@ -15,17 +15,9 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from .decomposition import (
-    FORGET,
-    INTRODUCE,
-    INTRODUCE_EDGE,
-    JOIN,
-    LEAF,
-    NiceTreeDecomposition,
-    make_nice,
-    min_fill_decomposition,
-)
+from .decomposition import NiceTreeDecomposition, make_nice, min_fill_decomposition
 from .graph import Coloring, Graph, degeneracy
+from .treedp import TreeDP, min_k, solve
 
 B, C, W, R = 0, 1, 2, 3
 
@@ -66,61 +58,28 @@ class _Codec:
         )
 
 
-def _intro_codes(cd: _Codec) -> tuple[int, ...]:
-    """States of a freshly introduced (isolated) vertex."""
-    codes = []
-    for gm in range(1, cd.k + 1):
-        codes.append(cd.code(gm, gm, B))  # isolated vertex must dominate itself
-        codes.append(cd.code(0, gm, R))
-        for c in range(1, cd.k + 1):
-            if c != gm:
-                codes.append(cd.code(c, gm, C))
-    return tuple(codes)
+class CfcSolver(TreeDP):
+    codec = _Codec
 
+    def intro_codes(self) -> tuple[int, ...]:
+        cd = self.cd
+        codes = []
+        for gm in range(1, cd.k + 1):
+            codes.append(cd.code(gm, gm, B))  # isolated vertex must dominate itself
+            codes.append(cd.code(0, gm, R))
+            for c in range(1, cd.k + 1):
+                if c != gm:
+                    codes.append(cd.code(c, gm, C))
+        return tuple(codes)
 
-class CfcSolver:
-    def __init__(self, g: Graph, k: int, ntd: Optional[NiceTreeDecomposition] = None):
-        if k < 1:
-            raise ValueError("k must be positive")
-        self.g = g
-        self.k = k
-        self.ntd = ntd if ntd is not None else make_nice(g, min_fill_decomposition(g))
-        self.cd = _Codec(k)
-        self.tables: dict[int, set[int]] = {}
-        self.states_evaluated = 0
-
-    def run(self) -> bool:
-        for i in self.ntd.postorder():
-            nd = self.ntd.nodes[i]
-            if nd.kind == LEAF:
-                table = {0}
-            elif nd.kind == INTRODUCE:
-                table = self._introduce(nd)
-            elif nd.kind == FORGET:
-                table = self._forget(nd)
-            elif nd.kind == INTRODUCE_EDGE:
-                table = self._introduce_edge(nd)
-            else:
-                table = self._join(nd)
-            self.tables[i] = table
-            self.states_evaluated += len(table)
-        return 0 in self.tables[self.ntd.root]
-
-    def _introduce(self, nd) -> set[int]:
-        child = self.tables[nd.children[0]]
-        vb = self.cd.vbits
-        pos = nd.bag.index(nd.vertex)
-        lowmask = (1 << pos * vb) - 1
-        shifted = [code << pos * vb for code in _intro_codes(self.cd)]
-        out = set()
-        add = out.add
-        for s in child:
-            low = s & lowmask
-            high = (s >> pos * vb) << (pos + 1) * vb
-            base = high | low
-            for sc in shifted:
-                add(base | sc)
-        return out
+    def forget_codes(self) -> list[tuple[int, int]]:
+        """Uncolored first, then colored."""
+        cd = self.cd
+        codes = [(cd.code(0, gm, W), 0) for gm in range(1, cd.k + 1)]
+        for gm in range(1, cd.k + 1):
+            for c in range(1, cd.k + 1):
+                codes.append((cd.code(c, gm, B), c))
+        return codes
 
     def _forget(self, nd) -> set[int]:
         child = self.tables[nd.children[0]]
@@ -182,9 +141,7 @@ class CfcSolver:
         cd = self.cd
         vb = cd.vbits
         nbag = len(nd.bag)
-        keymask = 0
-        for pos in range(nbag):
-            keymask |= cd.cgmask << pos * vb
+        keymask = self._spread(cd.cgmask, nbag)
         fofss = [pos * vb + cd.fofs for pos in range(nbag)]
         cofss = [pos * vb for pos in range(nbag)]
         groups: dict[int, list[int]] = {}
@@ -216,51 +173,6 @@ class CfcSolver:
         return out
 
     # -- witness extraction -------------------------------------------------
-
-    def extract(self) -> Coloring:
-        col = [0] * self.g.n
-        stack = [(self.ntd.root, 0)]
-        while stack:
-            node, state = stack.pop()
-            nd = self.ntd.nodes[node]
-            if nd.kind == LEAF:
-                continue
-            if nd.kind == INTRODUCE:
-                vb = self.cd.vbits
-                pos = nd.bag.index(nd.vertex)
-                lowmask = (1 << pos * vb) - 1
-                child_state = ((state >> (pos + 1) * vb) << pos * vb) | (state & lowmask)
-                stack.append((nd.children[0], child_state))
-            elif nd.kind == FORGET:
-                stack.append(self._extract_forget(nd, state, col))
-            elif nd.kind == INTRODUCE_EDGE:
-                stack.append((nd.children[0], self._extract_edge(nd, state)))
-            else:
-                s1, s2 = self._extract_join(nd, state)
-                stack.append((nd.children[0], s1))
-                stack.append((nd.children[1], s2))
-        return Coloring(self.k, col)
-
-    def _extract_forget(self, nd, state, col):
-        cd = self.cd
-        vb = cd.vbits
-        child = nd.children[0]
-        pos = self.ntd.nodes[child].bag.index(nd.vertex)
-        lowmask = (1 << pos * vb) - 1
-        base = ((state >> pos * vb) << (pos + 1) * vb) | (state & lowmask)
-        table = self.tables[child]
-        for gm in range(1, cd.k + 1):
-            s = base | cd.code(0, gm, W) << pos * vb
-            if s in table:
-                col[nd.vertex] = 0
-                return child, s
-        for gm in range(1, cd.k + 1):
-            for c in range(1, cd.k + 1):
-                s = base | cd.code(c, gm, B) << pos * vb
-                if s in table:
-                    col[nd.vertex] = c
-                    return child, s
-        raise AssertionError("true forget entry without a producing child state")
 
     def _extract_edge(self, nd, state):
         cd = self.cd
@@ -310,10 +222,7 @@ class CfcSolver:
             else:
                 pairs = [(W, R), (R, W)]
             opts.append(pairs)
-        keymask = 0
-        for pos in range(nbag):
-            keymask |= cd.cgmask << pos * vb
-        key = state & keymask
+        key = state & self._spread(cd.cgmask, nbag)
 
         def search(pos, s1, s2):
             if pos == nbag:
@@ -341,17 +250,9 @@ def solve_cfc(
 ) -> Optional[Coloring]:
     """Decide and construct a conflict-free coloring with at most k colors."""
     start = time.perf_counter()
-    solver = CfcSolver(g, k, ntd)
-    feasible = solver.run()
-    result = solver.extract() if feasible else None
-    if stats is not None:
-        stats.update(
-            nodes=len(solver.ntd.nodes),
-            states_evaluated=solver.states_evaluated,
-            width=solver.ntd.width,
-            millis=round((time.perf_counter() - start) * 1000, 3),
-        )
-    return result
+    if ntd is None:
+        ntd = make_nice(g, min_fill_decomposition(g))
+    return solve(CfcSolver(g, k, ntd), start, stats)
 
 
 def cf_number(g: Graph, stats: Optional[dict] = None) -> tuple[int, Coloring]:
@@ -359,10 +260,7 @@ def cf_number(g: Graph, stats: Optional[dict] = None) -> tuple[int, Coloring]:
 
     The search is capped at degeneracy+1, where a proper coloring always works.
     """
+    start = time.perf_counter()
     d, _ = degeneracy(g)
     ntd = make_nice(g, min_fill_decomposition(g))
-    for k in range(1, d + 2):
-        col = solve_cfc(g, k, ntd=ntd, stats=stats)
-        if col is not None:
-            return k, col
-    raise AssertionError("no coloring within the degeneracy bound")
+    return min_k(solve_cfc, g, ntd, d + 1, start, stats)

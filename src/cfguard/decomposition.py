@@ -77,10 +77,18 @@ class NiceTreeDecomposition:
         return order
 
 
-def min_fill_order(g: Graph) -> list[int]:
-    """Elimination order greedily minimizing fill edges (ties: degree, then id)."""
+def min_fill_decomposition(g: Graph) -> TreeDecomposition:
+    """Tree decomposition from a min-fill elimination ordering (clique-tree style).
+
+    Each step eliminates the vertex adding the fewest fill edges (ties:
+    degree, then id); its bag is the vertex with its neighbors at that moment.
+    """
+    if g.n == 0:
+        return TreeDecomposition(((),), frozenset())
     adj = {v: set(g.adj[v]) for v in range(g.n)}
     order = []
+    bags = []
+    later = []  # for each node, the neighbors its vertex had when eliminated
     while adj:
         best = None
         best_key = None
@@ -94,8 +102,10 @@ def min_fill_order(g: Graph) -> list[int]:
             key = (fill, len(ns), v)
             if best_key is None or key < best_key:
                 best, best_key = v, key
-        order.append(best)
         ns = adj.pop(best)
+        order.append(best)
+        bags.append(tuple(sorted({best, *ns})))
+        later.append(ns)
         for a in ns:
             adj[a].discard(best)
         nl = list(ns)
@@ -103,31 +113,11 @@ def min_fill_order(g: Graph) -> list[int]:
             for j in range(i + 1, len(nl)):
                 adj[nl[i]].add(nl[j])
                 adj[nl[j]].add(nl[i])
-    return order
-
-
-def min_fill_decomposition(g: Graph) -> TreeDecomposition:
-    """Tree decomposition from a min-fill elimination ordering (clique-tree style)."""
-    if g.n == 0:
-        return TreeDecomposition(((),), frozenset())
-    order = min_fill_order(g)
     pos = {v: i for i, v in enumerate(order)}
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
-    bags = []
-    higher = []  # for each node, the elimination index its bag hangs below
-    for v in order:
-        ns = adj.pop(v)
-        bags.append(tuple(sorted({v, *ns})))
-        higher.append(min((pos[u] for u in ns), default=None))
-        nl = list(ns)
-        for a in ns:
-            adj[a].discard(v)
-        for i in range(len(nl)):
-            for j in range(i + 1, len(nl)):
-                adj[nl[i]].add(nl[j])
-                adj[nl[j]].add(nl[i])
     tree_edges = set()
-    for i, h in enumerate(higher):
+    for i, ns in enumerate(later):
+        # a bag hangs below the bag of its earliest-eliminated later neighbor
+        h = min((pos[u] for u in ns), default=None)
         if h is not None:
             tree_edges.add((min(i, h), max(i, h)))
         elif i + 1 < len(bags):

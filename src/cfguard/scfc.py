@@ -18,17 +18,9 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from .decomposition import (
-    FORGET,
-    INTRODUCE,
-    INTRODUCE_EDGE,
-    JOIN,
-    LEAF,
-    NiceTreeDecomposition,
-    make_nice,
-    min_fill_decomposition,
-)
+from .decomposition import NiceTreeDecomposition, make_nice, min_fill_decomposition
 from .graph import Coloring, Graph
+from .treedp import TreeDP, min_k, solve
 
 
 class _Codec:
@@ -49,55 +41,22 @@ class _Codec:
         return 1 << (self.cbits + color - 1)
 
 
-def _intro_codes(cd: _Codec) -> tuple[int, ...]:
-    """States of a freshly introduced (isolated) vertex: uncolored, or self-dominating."""
-    codes = [0]
-    for c in range(1, cd.k + 1):
-        codes.append(c | cd.sbit(c))
-    return tuple(codes)
+class ScfcSolver(TreeDP):
+    codec = _Codec
 
+    def intro_codes(self) -> tuple[int, ...]:
+        """Uncolored, or colored and dominating itself."""
+        return (0, *(c | self.cd.sbit(c) for c in range(1, self.k + 1)))
 
-class ScfcSolver:
-    def __init__(self, g: Graph, k: int, ntd: Optional[NiceTreeDecomposition] = None):
-        if k < 1:
-            raise ValueError("k must be positive")
-        self.g = g
-        self.k = k
-        self.ntd = ntd if ntd is not None else make_nice(g, min_fill_decomposition(g))
-        self.cd = _Codec(k)
-        self.tables: dict[int, set[int]] = {}
-        self.states_evaluated = 0
-
-    def run(self) -> bool:
-        for i in self.ntd.postorder():
-            nd = self.ntd.nodes[i]
-            if nd.kind == LEAF:
-                table = {0}
-            elif nd.kind == INTRODUCE:
-                table = self._introduce(nd)
-            elif nd.kind == FORGET:
-                table = self._forget(nd)
-            elif nd.kind == INTRODUCE_EDGE:
-                table = self._introduce_edge(nd)
-            else:
-                table = self._join(nd)
-            self.tables[i] = table
-            self.states_evaluated += len(table)
-        return 0 in self.tables[self.ntd.root]
-
-    def _introduce(self, nd) -> set[int]:
-        child = self.tables[nd.children[0]]
-        vb = self.cd.vbits
-        pos = nd.bag.index(nd.vertex)
-        lowmask = (1 << pos * vb) - 1
-        shifted = [code << pos * vb for code in _intro_codes(self.cd)]
-        out = set()
-        add = out.add
-        for s in child:
-            base = ((s >> pos * vb) << (pos + 1) * vb) | (s & lowmask)
-            for sc in shifted:
-                add(base | sc)
-        return out
+    def forget_codes(self) -> list[tuple[int, int]]:
+        """Every nonempty S, uncolored first, then by color; a color lies in its own S."""
+        cd = self.cd
+        return [
+            (cd.code(c, sset), c)
+            for c in range(cd.k + 1)
+            for sset in range(1, 1 << cd.k)
+            if not c or sset >> (c - 1) & 1
+        ]
 
     def _forget(self, nd) -> set[int]:
         child = self.tables[nd.children[0]]
@@ -149,10 +108,8 @@ class ScfcSolver:
         cd = self.cd
         vb = cd.vbits
         nbag = len(nd.bag)
-        keymask = allsmask = 0
-        for pos in range(nbag):
-            keymask |= cd.cmask << pos * vb
-            allsmask |= cd.smask << pos * vb
+        keymask = self._spread(cd.cmask, nbag)
+        allsmask = self._spread(cd.smask, nbag)
         groups: dict[int, list[int]] = {}
         for s in t2:
             groups.setdefault(s & keymask, []).append(s)
@@ -175,48 +132,6 @@ class ScfcSolver:
         return out
 
     # -- witness extraction -------------------------------------------------
-
-    def extract(self) -> Coloring:
-        col = [0] * self.g.n
-        stack = [(self.ntd.root, 0)]
-        while stack:
-            node, state = stack.pop()
-            nd = self.ntd.nodes[node]
-            if nd.kind == LEAF:
-                continue
-            if nd.kind == INTRODUCE:
-                vb = self.cd.vbits
-                pos = nd.bag.index(nd.vertex)
-                lowmask = (1 << pos * vb) - 1
-                child_state = ((state >> (pos + 1) * vb) << pos * vb) | (state & lowmask)
-                stack.append((nd.children[0], child_state))
-            elif nd.kind == FORGET:
-                stack.append(self._extract_forget(nd, state, col))
-            elif nd.kind == INTRODUCE_EDGE:
-                stack.append((nd.children[0], self._extract_edge(nd, state)))
-            else:
-                s1, s2 = self._extract_join(nd, state)
-                stack.append((nd.children[0], s1))
-                stack.append((nd.children[1], s2))
-        return Coloring(self.k, col)
-
-    def _extract_forget(self, nd, state, col):
-        cd = self.cd
-        vb = cd.vbits
-        child = nd.children[0]
-        pos = self.ntd.nodes[child].bag.index(nd.vertex)
-        lowmask = (1 << pos * vb) - 1
-        base = ((state >> pos * vb) << (pos + 1) * vb) | (state & lowmask)
-        table = self.tables[child]
-        for c in range(cd.k + 1):
-            for sset in range(1, 1 << cd.k):
-                if c and not sset >> (c - 1) & 1:
-                    continue
-                s = base | cd.code(c, sset) << pos * vb
-                if s in table:
-                    col[nd.vertex] = c
-                    return child, s
-        raise AssertionError("true forget entry without a producing child state")
 
     def _extract_edge(self, nd, state):
         cd = self.cd
@@ -241,10 +156,8 @@ class ScfcSolver:
         t1 = self.tables[nd.children[0]]
         t2 = self.tables[nd.children[1]]
         nbag = len(nd.bag)
-        keymask = allsmask = 0
-        for pos in range(nbag):
-            keymask |= cd.cmask << pos * vb
-            allsmask |= cd.smask << pos * vb
+        keymask = self._spread(cd.cmask, nbag)
+        allsmask = self._spread(cd.smask, nbag)
         key = state & keymask
         selfmask = 0
         for pos in range(nbag):
@@ -270,17 +183,9 @@ def solve_scfc(
 ) -> Optional[Coloring]:
     """Decide and construct a strong conflict-free coloring with at most k colors."""
     start = time.perf_counter()
-    solver = ScfcSolver(g, k, ntd)
-    feasible = solver.run()
-    result = solver.extract() if feasible else None
-    if stats is not None:
-        stats.update(
-            nodes=len(solver.ntd.nodes),
-            states_evaluated=solver.states_evaluated,
-            width=solver.ntd.width,
-            millis=round((time.perf_counter() - start) * 1000, 3),
-        )
-    return result
+    if ntd is None:
+        ntd = make_nice(g, min_fill_decomposition(g))
+    return solve(ScfcSolver(g, k, ntd), start, stats)
 
 
 def scf_number(g: Graph, stats: Optional[dict] = None) -> tuple[int, Coloring]:
@@ -290,9 +195,6 @@ def scf_number(g: Graph, stats: Optional[dict] = None) -> tuple[int, Coloring]:
     tested, but since that bound is only empirical the search continues up to
     n, where a rainbow coloring (all vertices distinct) always succeeds.
     """
+    start = time.perf_counter()
     ntd = make_nice(g, min_fill_decomposition(g))
-    for k in range(1, max(g.n, 1) + 1):
-        col = solve_scfc(g, k, ntd=ntd, stats=stats)
-        if col is not None:
-            return k, col
-    raise AssertionError("rainbow coloring unexpectedly rejected")
+    return min_k(solve_scfc, g, ntd, max(g.n, 1), start, stats)

@@ -15,9 +15,10 @@ from typing import Optional
 
 from .cfc import solve_cfc
 from .decomposition import make_nice, min_fill_decomposition
-from .errors import FormatError, InternalConsistencyError
+from .errors import FormatError
 from .graph import Coloring, Graph, verify_conflict_free, verify_strong_conflict_free
 from .scfc import solve_scfc
+from .treedp import min_k
 
 COORD_LIMIT = 1 << 48
 
@@ -189,17 +190,9 @@ def pipeline(t: Terrain, problem: str) -> tuple[int, GuardColoring, dict]:
     budget = peel.p + 1 if problem == "cfc" else 2 * peel.p
     ntd = make_nice(g, min_fill_decomposition(g))
     solve = solve_cfc if problem == "cfc" else solve_scfc
-    stats: dict = {"p": peel.p, "width": ntd.width}
-    for k in range(1, budget + 1):
-        sub: dict = {}
-        col = solve(g, k, ntd=ntd, stats=sub)
-        stats["states_evaluated"] = stats.get("states_evaluated", 0) + sub["states_evaluated"]
-        if col is not None:
-            stats["millis"] = round((time.perf_counter() - start) * 1000, 3)
-            return k, GuardColoring(list(col.assignment)), stats
-    raise InternalConsistencyError(
-        f"no {problem} guarding within the budget of {budget} colors"
-    )
+    stats: dict = {"p": peel.p}
+    k, col = min_k(solve, g, ntd, budget, start, stats)
+    return k, GuardColoring(list(col.assignment)), stats
 
 
 def random_terrain(n: int, y_lo: int, y_hi: int, seed: int) -> Terrain:
