@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .errors import FormatError
+from .errors import FormatError, InstanceTooLargeError
 from .graph import (
     Coloring,
     oracle_cfc,
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
         ap.error("--k must be at least 1")
     try:
         return args.fn(args)
-    except FormatError as exc:
+    except (FormatError, InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

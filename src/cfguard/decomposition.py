@@ -33,15 +33,6 @@ class TreeDecomposition:
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=1) - 1
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.tree_edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
 
 @dataclass
 class NiceNode:
@@ -125,34 +116,51 @@ def min_fill_decomposition(g: Graph) -> TreeDecomposition:
     return TreeDecomposition(tuple(bags), frozenset(tree_edges))
 
 
-def validate(g: Graph, td: TreeDecomposition) -> Optional[tuple[str, object]]:
-    """Check the three decomposition axioms; None if ok, else (axiom, witness)."""
-    covered = set()
-    for bag in td.bags:
-        covered.update(bag)
-    for v in range(g.n):
-        if v not in covered:
-            return ("vertex-coverage", v)
-    for u, v in sorted(g.edges):
-        if not any(u in bag and v in bag for bag in td.bags):
-            return ("edge-coverage", (u, v))
-    # connectivity: nodes containing v must induce a connected subtree
-    nbrs: dict[int, list[int]] = {i: [] for i in range(len(td.bags))}
+def _rooted(td: TreeDecomposition) -> Optional[tuple[list[int], list[int]]]:
+    """Each bag's parent (-1 for bag 0, the root) and a DFS order listing bags before children.
+
+    Children go in decreasing index order, so the reversed order is a postorder with
+    children in increasing order.  None unless the tree edges form one tree over all bags.
+    """
+    n = len(td.bags)
+    if n == 0 or len(td.tree_edges) != n - 1 or not all(0 <= x < n for e in td.tree_edges for x in e):
+        return None
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for a, b in td.tree_edges:
         nbrs[a].append(b)
         nbrs[b].append(a)
+    parent = [-1] + [None] * (n - 1)
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        for j in sorted(nbrs[i]):
+            if parent[j] is None:
+                parent[j] = i
+                stack.append(j)
+    return (parent, order) if len(order) == n else None
+
+
+def validate(g: Graph, td: TreeDecomposition) -> Optional[tuple[str, object]]:
+    """Check the tree axiom (witness: the bag count) and the three decomposition axioms; None if ok."""
+    bag_sets = [set(bag) for bag in td.bags] + [set()]  # sentinel at -1, above the root
+    holders: dict[int, list[int]] = {}
+    for i, bag in enumerate(bag_sets):
+        for v in bag:
+            holders.setdefault(v, []).append(i)
     for v in range(g.n):
-        holders = [i for i, bag in enumerate(td.bags) if v in bag]
-        seen = {holders[0]}
-        stack = [holders[0]]
-        holder_set = set(holders)
-        while stack:
-            i = stack.pop()
-            for j in nbrs[i]:
-                if j in holder_set and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if seen != holder_set:
+        if v not in holders:
+            return ("vertex-coverage", v)
+    for u, v in sorted(g.edges):
+        if not any(u in bag_sets[i] and v in bag_sets[i] for i in min(holders[u], holders[v], key=len)):
+            return ("edge-coverage", (u, v))
+    rooted = _rooted(td)
+    if rooted is None:
+        return ("tree", len(td.bags))
+    parent = rooted[0]
+    # connectivity: the bags holding v form a subtree iff exactly one has a parent bag without v
+    for v in range(g.n):
+        if sum(1 for i in holders[v] if v not in bag_sets[parent[i]]) != 1:
             return ("connectivity", v)
     return None
 
@@ -167,13 +175,12 @@ class _NiceBuilder:
         self.nodes.append(node)
         return len(self.nodes) - 1
 
-    def intro_chain(self, below: Optional[int], below_bag: tuple[int, ...], target: set[int]) -> tuple[int, tuple[int, ...]]:
+    def intro_chain(self, below: int, below_bag: tuple[int, ...], target: set[int]) -> tuple[int, tuple[int, ...]]:
         """Introduce the vertices of target missing from below_bag, in sorted order."""
         cur, bag = below, set(below_bag)
         for v in sorted(target - bag):
             bag.add(v)
-            nb = tuple(sorted(bag))
-            cur = self.add(NiceNode(INTRODUCE, nb, [cur] if cur is not None else [], vertex=v))
+            cur = self.add(NiceNode(INTRODUCE, tuple(sorted(bag)), [cur], vertex=v))
         return cur, tuple(sorted(bag))
 
     def forget_chain(self, below: int, below_bag: tuple[int, ...], target: set[int]) -> tuple[int, tuple[int, ...]]:
@@ -189,33 +196,29 @@ class _NiceBuilder:
             cur = self.add(NiceNode(FORGET, tuple(sorted(bag)), [cur], vertex=v))
         return cur, tuple(sorted(bag))
 
-    def build(self, td: TreeDecomposition, node: int, parent: Optional[int]) -> tuple[int, tuple[int, ...]]:
-        bag = set(td.bags[node])
-        children = [c for c in td.neighbors(node) if c != parent]
-        branches = []
-        for ch in children:
-            top, top_bag = self.build(td, ch, node)
-            top, top_bag = self.forget_chain(top, top_bag, bag)
-            top, top_bag = self.intro_chain(top, top_bag, bag)
-            branches.append((top, top_bag))
-        if not branches:
-            leaf = self.add(NiceNode(LEAF, ()))
-            return self.intro_chain(leaf, (), bag)
-        cur, cur_bag = branches[0]
-        for nxt, _ in branches[1:]:
-            cur = self.add(NiceNode(JOIN, cur_bag, [cur, nxt]))
-        return cur, cur_bag
-
 
 def make_nice(g: Graph, td: TreeDecomposition) -> NiceTreeDecomposition:
-    """Convert a valid decomposition into a nice one rooted at an empty bag."""
+    """Convert a valid decomposition into a nice one rooted at an empty bag.
+
+    Bags are built in postorder from bag 0, each with its chains up to its parent bag.
+    """
     verdict = validate(g, td)
     if verdict is not None:
         raise ValueError(f"invalid tree decomposition: {verdict[0]} (witness {verdict[1]})")
+    parent, order = _rooted(td)
     builder = _NiceBuilder(g)
-    top, top_bag = builder.build(td, 0, None)
-    top, _ = builder.forget_chain(top, top_bag, set())
-    return NiceTreeDecomposition(builder.nodes, top)
+    targets = [set(bag) for bag in td.bags] + [set()]  # sentinel empty bag above the root
+    branches: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in targets]
+    for i in reversed(order):
+        if branches[i]:
+            top, top_bag = branches[i][0]
+            for nxt, _ in branches[i][1:]:
+                top = builder.add(NiceNode(JOIN, top_bag, [top, nxt]))
+        else:
+            top, top_bag = builder.intro_chain(builder.add(NiceNode(LEAF, ())), (), targets[i])
+        top, top_bag = builder.forget_chain(top, top_bag, targets[parent[i]])
+        branches[parent[i]].append(builder.intro_chain(top, top_bag, targets[parent[i]]))
+    return NiceTreeDecomposition(builder.nodes, branches[-1][0][0])
 
 
 def validate_nice(g: Graph, ntd: NiceTreeDecomposition) -> Optional[tuple[str, object]]:

@@ -69,9 +69,6 @@ class Coloring:
         self.k = k
         self.assignment = assignment
 
-    def colors_used(self) -> int:
-        return len({c for c in self.assignment if c != 0})
-
     def __eq__(self, other):
         return (
             isinstance(other, Coloring)

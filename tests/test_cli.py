@@ -50,6 +50,15 @@ class TestSolve:
             ocode, _ = run(capsys, "oracle", "cfc", c4_file, "--k", k)
             assert scode == ocode == expected
 
+    def test_oracle_too_large_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "g30.txt"
+        path.write_text("p 30 1\ne 1 2\n")
+        code = main(["oracle", "cfc", str(path), "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_text_format(self, capsys, c4_file):
         code, out = run(capsys, "solve", "cfc", c4_file, "--k", "2", "--format", "text")
         assert code == 0
