@@ -1,10 +1,14 @@
 """Dynamic program for k-conflict-free coloring over a nice tree decomposition.
 
-Each bag vertex carries a triple (c, gamma, f): its assigned color c (0 = no
-color), the color gamma that must dominate it exactly once, and a partition
-flag f.  B = colored and already dominated, C = colored but dominated only
-above the current node, W = uncolored and dominated, R = uncolored and
-dominated only above.
+Each bag vertex carries a triple (c, gamma, p): its assigned color c (0 = no
+color), the color gamma that must occur exactly once in its closed
+neighborhood, and a pending bit p, set while gamma has not yet occurred there
+in the partial graph below the current node.  A vertex with c == gamma sees
+gamma at itself, so it is never pending.  No recurrence changes c or gamma:
+an introduced edge clears the bit of an endpoint whose gamma is the other
+endpoint's color (a second occurrence kills the state), a join keeps a bit
+only where both children still wait for gamma, and a vertex is forgotten
+only with its bit clear.
 
 Tables are sparse (only true states are stored) and a whole bag state is
 packed into a single integer, one fixed-width field per sorted-bag position.
@@ -13,49 +17,36 @@ packed into a single integer, one fixed-width field per sorted-bag position.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from itertools import product
+from typing import Callable, Optional
 
 from .decomposition import NiceTreeDecomposition, make_nice, min_fill_decomposition
 from .graph import Coloring, Graph, degeneracy
 from .treedp import TreeDP, min_k, solve
 
-B, C, W, R = 0, 1, 2, 3
-
-# f-combination at a join; (B, B) additionally requires c == gamma
-_JOIN_F = {
-    (B, C): B,
-    (C, B): B,
-    (B, B): B,
-    (C, C): C,
-    (R, R): R,
-    (W, R): W,
-    (R, W): W,
-}
-
 
 class _Codec:
-    """Bit layout of one bag position: c | gamma-1 | f."""
+    """Bit layout of one bag position: c | gamma-1 | p."""
 
     def __init__(self, k: int):
         self.k = k
         self.cbits = max(k.bit_length(), 1)
         self.gbits = (k - 1).bit_length()
-        self.fofs = self.cbits + self.gbits
-        self.vbits = self.fofs + 2
+        self.pofs = self.cbits + self.gbits
+        self.vbits = self.pofs + 1
         self.cmask = (1 << self.cbits) - 1
         self.gmask = (1 << self.gbits) - 1
-        self.cgmask = (1 << self.fofs) - 1
-        self.vmask = (1 << self.vbits) - 1
+        self.cgmask = (1 << self.pofs) - 1
 
-    def code(self, c: int, gm: int, f: int) -> int:
-        return c | (gm - 1) << self.cbits | f << self.fofs
+    def code(self, c: int, gm: int, p: int) -> int:
+        return c | (gm - 1) << self.cbits | p << self.pofs
 
-    def split(self, code: int) -> tuple[int, int, int]:
-        return (
-            code & self.cmask,
-            ((code >> self.cbits) & self.gmask) + 1,
-            code >> self.fofs,
-        )
+
+def _group(table: set[int], keymask: int) -> dict[int, list[int]]:
+    groups: dict[int, list[int]] = {}
+    for s in table:
+        groups.setdefault(s & keymask, []).append(s)
+    return groups
 
 
 class CfcSolver(TreeDP):
@@ -65,181 +56,132 @@ class CfcSolver(TreeDP):
         cd = self.cd
         codes = []
         for gm in range(1, cd.k + 1):
-            codes.append(cd.code(gm, gm, B))  # isolated vertex must dominate itself
-            codes.append(cd.code(0, gm, R))
+            codes.append(cd.code(gm, gm, 0))  # isolated vertex must dominate itself
+            codes.append(cd.code(0, gm, 1))
             for c in range(1, cd.k + 1):
                 if c != gm:
-                    codes.append(cd.code(c, gm, C))
+                    codes.append(cd.code(c, gm, 1))
         return tuple(codes)
 
     def forget_codes(self) -> list[tuple[int, int]]:
         """Uncolored first, then colored."""
         cd = self.cd
-        codes = [(cd.code(0, gm, W), 0) for gm in range(1, cd.k + 1)]
+        codes = [(cd.code(0, gm, 0), 0) for gm in range(1, cd.k + 1)]
         for gm in range(1, cd.k + 1):
             for c in range(1, cd.k + 1):
-                codes.append((cd.code(c, gm, B), c))
+                codes.append((cd.code(c, gm, 0), c))
         return codes
 
     def _forget(self, nd) -> set[int]:
         child = self.tables[nd.children[0]]
-        cd = self.cd
-        vb = cd.vbits
+        vb = self.cd.vbits
         pos = self.ntd.nodes[nd.children[0]].bag.index(nd.vertex)
-        fofs = pos * vb + cd.fofs
+        pbit = 1 << pos * vb + self.cd.pofs
         lowmask = (1 << pos * vb) - 1
         out = set()
         add = out.add
         for s in child:
-            f = (s >> fofs) & 3
-            if f == B or f == W:
+            if not s & pbit:
                 add(((s >> (pos + 1) * vb) << pos * vb) | (s & lowmask))
         return out
 
-    def _introduce_edge(self, nd) -> set[int]:
-        """Parent table as the preimage of the child table.
+    def _edge_hit(self, nd) -> Callable[[int], int]:
+        """For edge uv: a function from a state to the pending bits it clears.
 
-        Each parent state maps to exactly one child query (the recurrence
-        cases are mutually exclusive), so the parent table is the union of
-        the per-case inverse rewrites plus the unmatched (copy) states.
+        u's bit is hit when v's color is u's gamma, and v's likewise.
         """
-        child = self.tables[nd.children[0]]
         cd = self.cd
-        vb = cd.vbits
-        u, v = nd.edge
-        pu, pv = nd.bag.index(u), nd.bag.index(v)
-        ushift, vshift = pu * vb, pv * vb
-        ufofs, vfofs = ushift + cd.fofs, vshift + cd.fofs
-        split = cd.split
+        cmask, gmask = cd.cmask, cd.gmask
+        ushift, vshift = (nd.bag.index(x) * cd.vbits for x in nd.edge)
+        ugshift, vgshift = ushift + cd.cbits, vshift + cd.cbits
+        upbit, vpbit = 1 << ushift + cd.pofs, 1 << vshift + cd.pofs
+
+        def hit(s: int) -> int:
+            return (upbit if (s >> vshift) & cmask == ((s >> ugshift) & gmask) + 1 else 0) | (
+                vpbit if (s >> ushift) & cmask == ((s >> vgshift) & gmask) + 1 else 0
+            )
+
+        return hit
+
+    def _introduce_edge(self, nd) -> set[int]:
+        child = self.tables[nd.children[0]]
+        hit = self._edge_hit(nd)
         out = set()
         add = out.add
         for s in child:
-            cu, gu, fu = split((s >> ushift) & cd.vmask)
-            cv, gv, fv = split((s >> vshift) & cd.vmask)
-            if fu == C and fv == C and cv == gu and cu == gv:
-                add(s - (1 << ufofs) - (1 << vfofs))  # both C -> B
-            for ca, ga, fa, cb, gb, fb, bfofs in (
-                (cu, gu, fu, cv, gv, fv, vfofs),
-                (cv, gv, fv, cu, gu, fu, ufofs),
-            ):
-                if fa <= C and ca == gb:
-                    if (fb == C and cb != ga) or fb == R:
-                        add(s - (1 << bfofs))  # C -> B, or R -> W
-            # copy survives only when no recurrence case touches the state
-            matched = (
-                (fu == B and fv == B and cv == gu and cu == gv)
-                or (fu <= C and cu == gv and not (fv == B and cv == gu))
-                or (fv <= C and cv == gu and not (fu == B and cu == gv))
-            )
-            if not matched:
-                add(s)
+            h = hit(s)
+            if not h:
+                add(s)  # the child's own int; s ^ 0 would allocate a copy
+            elif s & h == h:
+                add(s ^ h)
         return out
 
     def _join(self, nd) -> set[int]:
+        """Each pair of child states with equal (c, gamma) fields gives their bitwise and.
+
+        The parent is pending where both children are.  A vertex with
+        c != gamma must be pending in at least one child, or gamma occurs
+        twice in its neighborhood.
+        """
         t1 = self.tables[nd.children[0]]
         t2 = self.tables[nd.children[1]]
         cd = self.cd
-        vb = cd.vbits
         nbag = len(nd.bag)
         keymask = self._spread(cd.cgmask, nbag)
-        fofss = [pos * vb + cd.fofs for pos in range(nbag)]
-        cofss = [pos * vb for pos in range(nbag)]
-        groups: dict[int, list[int]] = {}
-        for s in t2:
-            groups.setdefault(s & keymask, []).append(s)
-        join_f = _JOIN_F
+        groups = _group(t2, keymask)
         out = set()
         add = out.add
-        for s1 in t1:
-            key = s1 & keymask
-            bucket = groups.get(key)
-            if not bucket:
-                continue
-            for s2 in bucket:
-                parent = key
-                for pos in range(nbag):
-                    fo = fofss[pos]
-                    f1, f2 = (s1 >> fo) & 3, (s2 >> fo) & 3
-                    f = join_f.get((f1, f2))
-                    if f is None:
-                        break
-                    if f1 == B and f2 == B:
-                        c, gm, _ = cd.split((s1 >> cofss[pos]) & cd.vmask)
-                        if c != gm:
-                            break
-                    parent |= f << fo
-                else:
-                    add(parent)
+        for key, bucket1 in _group(t1, keymask).items():
+            bucket2 = groups.get(key)
+            if bucket2:
+                need = self._needs_pending(key, nbag)
+                for s1 in bucket1:
+                    miss = need & ~s1
+                    for s2 in bucket2:
+                        if s2 & miss == miss:
+                            add(s1 & s2)
         return out
+
+    def _needs_pending(self, key: int, nbag: int) -> int:
+        """The pending bits of the positions of ``key`` whose c is not gamma."""
+        cd = self.cd
+        mask = 0
+        for pos in range(nbag):
+            shift = pos * cd.vbits
+            if (key >> shift) & cd.cmask != ((key >> shift + cd.cbits) & cd.gmask) + 1:
+                mask |= 1 << shift + cd.pofs
+        return mask
 
     # -- witness extraction -------------------------------------------------
 
     def _extract_edge(self, nd, state):
-        cd = self.cd
-        vb = cd.vbits
-        table = self.tables[nd.children[0]]
-        u, v = nd.edge
-        pu, pv = nd.bag.index(u), nd.bag.index(v)
-        ufofs, vfofs = pu * vb + cd.fofs, pv * vb + cd.fofs
-        cu, gu, fu = cd.split((state >> pu * vb) & cd.vmask)
-        cv, gv, fv = cd.split((state >> pv * vb) & cd.vmask)
-        if fu == B and fv == B and cv == gu and cu == gv:
-            q = state + (1 << ufofs) + (1 << vfofs)  # both B -> C
-            if q in table:
-                return q
-        for ca, ga, fa, cb, gb, fb, bfofs in (
-            (cu, gu, fu, cv, gv, fv, vfofs),
-            (cv, gv, fv, cu, gu, fu, ufofs),
-        ):
-            if fa <= C and ca == gb:
-                if fb == B and cb != ga:
-                    q = state + (1 << bfofs)  # B -> C
-                    if q in table:
-                        return q
-                elif fb == W:
-                    q = state + (1 << bfofs)  # W -> R
-                    if q in table:
-                        return q
-        if state in table:
-            return state
+        q = state | self._edge_hit(nd)(state)
+        if q in self.tables[nd.children[0]]:
+            return q
         raise AssertionError("true edge entry without a producing child state")
 
     def _extract_join(self, nd, state):
-        cd = self.cd
-        vb = cd.vbits
+        """Try each split of the parent's clear pending bits between the children.
+
+        A clear bit comes from (clear, set), (set, clear), or, where
+        c == gamma, (clear, clear), tried in that order with the first bag
+        position varying slowest.
+        """
         t1 = self.tables[nd.children[0]]
         t2 = self.tables[nd.children[1]]
-        nbag = len(nd.bag)
+        cd = self.cd
+        needs = self._needs_pending(state, len(nd.bag))
         opts = []
-        for pos in range(nbag):
-            c, gm, f = cd.split((state >> pos * vb) & cd.vmask)
-            if f == B:
-                pairs = [(B, C), (C, B)] + ([(B, B)] if c == gm else [])
-            elif f == C:
-                pairs = [(C, C)]
-            elif f == R:
-                pairs = [(R, R)]
-            else:
-                pairs = [(W, R), (R, W)]
-            opts.append(pairs)
-        key = state & self._spread(cd.cgmask, nbag)
-
-        def search(pos, s1, s2):
-            if pos == nbag:
-                if s1 in t1 and s2 in t2:
-                    return s1, s2
-                return None
-            fo = pos * vb + cd.fofs
-            for f1, f2 in opts[pos]:
-                hit = search(pos + 1, s1 | f1 << fo, s2 | f2 << fo)
-                if hit:
-                    return hit
-            return None
-
-        hit = search(0, key, key)
-        if hit is None:
-            raise AssertionError("true join entry without consistent child states")
-        return hit
+        for pos in range(len(nd.bag)):
+            pbit = 1 << pos * cd.vbits + cd.pofs
+            if not state & pbit:
+                opts.append(((0, pbit), (pbit, 0)) + (() if needs & pbit else ((0, 0),)))
+        for choice in product(*opts):
+            s1 = state + sum(b1 for b1, _ in choice)
+            s2 = state + sum(b2 for _, b2 in choice)
+            if s1 in t1 and s2 in t2:
+                return s1, s2
+        raise AssertionError("true join entry without consistent child states")
 
 
 def solve_cfc(

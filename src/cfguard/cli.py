@@ -188,12 +188,14 @@ def cmd_terrain(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "graph":
-        g = random_graph(args.n, args.p, args.seed)
-        out = write_graph(g)
-    else:
-        t = random_terrain(args.n, args.y_lo, args.y_hi, args.seed)
-        out = write_terrain(t)
+    try:
+        if args.kind == "graph":
+            out = write_graph(random_graph(args.n, args.p, args.seed))
+        else:
+            out = write_terrain(random_terrain(args.n, args.y_lo, args.y_hi, args.seed))
+    except ValueError as exc:  # the generators reject out-of-range arguments
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         _write_out(args.out, out)
     else:

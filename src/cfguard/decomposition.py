@@ -228,9 +228,15 @@ def validate_nice(g: Graph, ntd: NiceTreeDecomposition) -> Optional[tuple[str, o
         return ("root-bag", ntd.root)
     edge_count: dict[tuple[int, int], int] = {}
     forget_count: dict[int, int] = {}
+    # join-independence: the introduced edges whose endpoints are both still
+    # in the bag; a join bag is independent iff neither child carries one
+    live: dict[int, set[tuple[int, int]]] = {}
+    dependent_join = None
     for i in ntd.postorder():
         nd = nodes[i]
         kids = [nodes[c] for c in nd.children]
+        carried = [live[c] for c in nd.children]
+        live[i] = carried[0] if len(carried) == 1 else set()
         if nd.kind == LEAF:
             if kids or nd.bag:
                 return ("leaf-shape", i)
@@ -241,6 +247,7 @@ def validate_nice(g: Graph, ntd: NiceTreeDecomposition) -> Optional[tuple[str, o
             if len(kids) != 1 or nd.vertex not in kids[0].bag or set(nd.bag) != set(kids[0].bag) - {nd.vertex}:
                 return ("forget-shape", i)
             forget_count[nd.vertex] = forget_count.get(nd.vertex, 0) + 1
+            live[i] = {e for e in live[i] if nd.vertex not in e}
         elif nd.kind == INTRODUCE_EDGE:
             u, v = nd.edge
             if len(kids) != 1 or nd.bag != kids[0].bag or u not in nd.bag or v not in nd.bag:
@@ -248,9 +255,12 @@ def validate_nice(g: Graph, ntd: NiceTreeDecomposition) -> Optional[tuple[str, o
             if not g.has_edge(u, v):
                 return ("introduce-edge-unknown", nd.edge)
             edge_count[nd.edge] = edge_count.get(nd.edge, 0) + 1
+            live[i] = live[i] | {nd.edge}
         elif nd.kind == JOIN:
             if len(kids) != 2 or kids[0].bag != nd.bag or kids[1].bag != nd.bag:
                 return ("join-shape", i)
+            if dependent_join is None and (carried[0] or carried[1]):
+                dependent_join = ("join-independence", (i, min(carried[0] or carried[1])))
         else:
             return ("unknown-kind", nd.kind)
     for e in sorted(g.edges):
@@ -265,22 +275,7 @@ def validate_nice(g: Graph, ntd: NiceTreeDecomposition) -> Optional[tuple[str, o
     for v in range(g.n):
         if v not in forget_count:
             return ("vertex-coverage", v)
-    # join-independence: no edge within a join bag introduced in its subtree
-    intro_below: dict[int, set[tuple[int, int]]] = {}
-    for i in ntd.postorder():
-        nd = nodes[i]
-        acc: set[tuple[int, int]] = set()
-        for c in nd.children:
-            acc |= intro_below[c]
-        if nd.kind == INTRODUCE_EDGE:
-            acc.add(nd.edge)
-        intro_below[i] = acc
-        if nd.kind == JOIN:
-            bag = set(nd.bag)
-            for u, v in acc:
-                if u in bag and v in bag:
-                    return ("join-independence", (i, (u, v)))
-    return None
+    return dependent_join
 
 
 def dump_nice(ntd: NiceTreeDecomposition) -> str:

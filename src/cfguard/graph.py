@@ -227,6 +227,8 @@ def parse_graph(text: str) -> Graph:
                 n, m = int(parts[1]), int(parts[2])
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer header fields") from None
+            if n < 0:
+                raise FormatError(f"line {lineno}: negative vertex count {n}")
         elif parts[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before header")
@@ -238,6 +240,8 @@ def parse_graph(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: non-integer edge fields") from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise FormatError(f"line {lineno}: edge ({u}, {v}) out of range")
+            if u == v:
+                raise FormatError(f"line {lineno}: self-loop at vertex {u}")
             edges.append((u - 1, v - 1))
         else:
             raise FormatError(f"line {lineno}: unknown line {line!r}")

@@ -115,37 +115,37 @@ def onion_peeling(t: Terrain) -> OnionPeeling:
     return OnionPeeling(tuple(layers))
 
 
-def _guard_layer(t: Terrain, indices: list[int], depth: int, color_pair, colors: list[int], stats: dict):
-    """Guard one sub-terrain: color its upper hull, then recurse into the gaps."""
-    a, b = color_pair(depth)
-    stats["max_depth"] = max(stats.get("max_depth", 0), depth)
-    hull = _upper_hull(t, indices)
-    pts = t.points
-    apex_pos = max(range(len(hull)), key=lambda i: (pts[hull[i]][1], -pts[hull[i]][0]))
-    apex = hull[apex_pos]
-    colors[apex] = a
-    # sweep right, then left; each sweep alternates starting from the apex color
-    for sweep in (hull[apex_pos + 1 :], hull[apex_pos - 1 :: -1] if apex_pos else []):
-        last, last_color = apex, a
-        for h in sweep:
-            if not sees(t, last, h):
-                last_color = b if last_color == a else a
-                colors[h] = last_color
-                last = h
-    for h1, h2 in zip(hull, hull[1:]):
-        gap = list(range(h1 + 1, h2))
-        if gap:
-            _guard_layer(t, gap, depth + 1, color_pair, colors, stats)
-
-
 def _run_guarding(t: Terrain, color_pair) -> tuple[GuardColoring, dict]:
+    """Color the upper hull of each sub-terrain, then guard the gaps below it.
+
+    A sub-terrain at depth d uses the colors ``color_pair(d)``; the gaps are
+    disjoint, so the order they are visited in changes nothing.
+    """
     colors = [0] * t.n
-    stats: dict = {}
-    _guard_layer(t, list(range(t.n)), 1, color_pair, colors, stats)
+    pts = t.points
+    max_depth = 0
+    work = [(list(range(t.n)), 1)]
+    while work:
+        indices, depth = work.pop()
+        a, b = color_pair(depth)
+        max_depth = max(max_depth, depth)
+        hull = _upper_hull(t, indices)
+        apex_pos = max(range(len(hull)), key=lambda i: (pts[hull[i]][1], -pts[hull[i]][0]))
+        apex = hull[apex_pos]
+        colors[apex] = a
+        # sweep right, then left; each sweep alternates starting from the apex color
+        for sweep in (hull[apex_pos + 1 :], hull[apex_pos - 1 :: -1] if apex_pos else []):
+            last, last_color = apex, a
+            for h in sweep:
+                if not sees(t, last, h):
+                    last_color = b if last_color == a else a
+                    colors[h] = last_color
+                    last = h
+        for h1, h2 in zip(hull, hull[1:]):
+            if h2 - h1 > 1:
+                work.append((list(range(h1 + 1, h2)), depth + 1))
     p = onion_peeling(t).p
-    stats["p"] = p
-    stats["depth_exceeded_p"] = stats.get("max_depth", 0) > p
-    return GuardColoring(colors), stats
+    return GuardColoring(colors), {"max_depth": max_depth, "p": p, "depth_exceeded_p": max_depth > p}
 
 
 def strong_guard(t: Terrain, stats: Optional[dict] = None) -> GuardColoring:

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfguard.cfc import cf_number, solve_cfc
@@ -69,6 +70,34 @@ class TestSolve:
         h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
         for k in (1, 2):
             assert (solve_cfc(g, k) is None) == (solve_cfc(h, k) is None)
+
+
+# witnesses pinned across rewrites of the DP tables; every decomposition here
+# has joins, so they also pin the order in which a join's child states are tried
+GOLDEN_SOLVES = [
+    ((12, 0.2, 4), 2, (1, 0, 0, 1, 0, 0, 1, 2, 2, 1, 2, 0)),
+    ((12, 0.2, 4), 3, (1, 0, 0, 1, 0, 0, 1, 2, 2, 1, 2, 0)),
+    ((8, 0.4, 5), 2, (1, 1, 0, 2, 0, 2, 0, 0)),
+    ((8, 0.4, 5), 3, (1, 1, 3, 0, 2, 2, 0, 0)),
+    ((10, 0.35, 6), 2, (0, 2, 2, 0, 1, 0, 0, 1, 2, 0)),
+    ((10, 0.35, 6), 3, (2, 2, 3, 0, 1, 0, 0, 1, 2, 0)),
+    ((12, 0.3, 7), 2, (1, 1, 0, 1, 0, 0, 2, 0, 0, 2, 0, 0)),
+    ((12, 0.3, 7), 3, (1, 1, 0, 1, 0, 0, 2, 0, 0, 2, 0, 0)),
+]
+
+
+class TestGoldenWitnesses:
+    @pytest.mark.parametrize("params,k,expected", GOLDEN_SOLVES)
+    def test_solve(self, params, k, expected):
+        assert solve_cfc(random_graph(*params), k).assignment == expected
+
+    @pytest.mark.parametrize("params,k,expected", [
+        ((8, 0.4, 5), 2, (1, 1, 0, 2, 0, 2, 0, 0)),
+        ((10, 0.35, 6), 2, (0, 2, 2, 0, 1, 0, 0, 1, 2, 0)),
+    ])
+    def test_cf_number(self, params, k, expected):
+        kk, col = cf_number(random_graph(*params))
+        assert (kk, col.assignment) == (k, expected)
 
 
 class TestCfNumber:

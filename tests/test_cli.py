@@ -93,6 +93,15 @@ class TestVerify:
         code, _ = run(capsys, "solve", "cfc", "/nonexistent", "--k", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["p 2 1\ne 1 1\n", "p -1 0\n"], ids=["self-loop", "negative-n"])
+    def test_invalid_graph_exit_code(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code = main(["solve", "cfc", str(bad), "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+
 
 class TestTerrain:
     def test_peel_report(self, capsys):
@@ -144,6 +153,19 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
         run(capsys, "gen", "terrain", "--n", "9", "--seed", "6", "--out", str(b))
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["graph", "--n", "4", "--p", "2"],
+        ["graph", "--n", "-3"],
+        ["terrain", "--n", "0"],
+        ["terrain", "--n", "4", "--y-lo", "9", "--y-hi", "1"],
+    ], ids=["p-above-1", "negative-n", "empty-terrain", "empty-y-range"])
+    def test_bad_arguments_exit_code(self, capsys, argv):
+        code = main(["gen", *argv, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_single_vertex_terrain(self, capsys):
         code, out = run(capsys, "gen", "terrain", "--n", "1", "--seed", "3")

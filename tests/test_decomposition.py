@@ -5,8 +5,11 @@ from cfguard.cfc import cf_number
 from cfguard.decomposition import (
     FORGET,
     INTRODUCE,
+    INTRODUCE_EDGE,
     JOIN,
     LEAF,
+    NiceNode,
+    NiceTreeDecomposition,
     TreeDecomposition,
     dump_nice,
     exact_treewidth,
@@ -146,6 +149,23 @@ class TestMakeNice:
         td = TreeDecomposition(bags, frozenset((i, i + 1) for i in range(n - 1)))
         assert validate(g, td) is None
         assert validate_nice(g, make_nice(g, td)) is None
+
+    def test_detects_edge_below_join(self):
+        # edge 0-1 is introduced in the left branch below a join whose bag holds both
+        nodes = [
+            NiceNode(LEAF, ()),
+            NiceNode(INTRODUCE, (0,), [0], vertex=0),
+            NiceNode(INTRODUCE, (0, 1), [1], vertex=1),
+            NiceNode(INTRODUCE_EDGE, (0, 1), [2], edge=(0, 1)),
+            NiceNode(LEAF, ()),
+            NiceNode(INTRODUCE, (0,), [4], vertex=0),
+            NiceNode(INTRODUCE, (0, 1), [5], vertex=1),
+            NiceNode(JOIN, (0, 1), [3, 6]),
+            NiceNode(FORGET, (1,), [7], vertex=0),
+            NiceNode(FORGET, (), [8], vertex=1),
+        ]
+        ntd = NiceTreeDecomposition(nodes, 9)
+        assert validate_nice(Graph(2, [(0, 1)]), ntd) == ("join-independence", (7, (0, 1)))
 
     def test_dump_golden_binary_tree(self):
         g = Graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])

@@ -165,3 +165,7 @@ class TestRandomAndFormat:
             parse_graph("e 1 2\np 2 1\n")
         with pytest.raises(FormatError):
             parse_graph("p 2 1\ne 1 3\n")
+        with pytest.raises(FormatError):
+            parse_graph("p 2 1\ne 1 1\n")
+        with pytest.raises(FormatError):
+            parse_graph("p -1 0\n")

@@ -129,6 +129,17 @@ class TestGuarding:
         assert verify_guarding(t, strong_guard(t), "strong") is None
         assert verify_guarding(t, cf_guard(t), "cf") is None
 
+    def test_deep_convex_valley(self):
+        # each layer's hull is the two rims, so the gaps nest 1050 deep:
+        # deeper than the interpreter's recursion limit
+        t = Terrain(tuple((x, (x - 1050) ** 2) for x in range(2100)))
+        stats: dict = {}
+        gc = strong_guard(t, stats=stats)
+        assert stats == {"max_depth": 1050, "p": 1050, "depth_exceeded_p": False}
+        # one guard per layer, the higher rim, in colors 1, 3, 5, ...
+        assert gc.K == 2 * 1050 - 1
+        assert sum(1 for c in gc.colors if c) == 1050
+
     def test_verify_guarding_modes(self):
         t = figure_terrain()
         gc = GuardColoring([0] * t.n)
