@@ -14,4 +14,8 @@ class FormatError(CfguardError):
 
 
 class InternalConsistencyError(CfguardError):
-    """Raised when a guaranteed color budget is exhausted without a solution."""
+    """Raised when a solver breaks its own guarantee.
+
+    A minimum-k search exhausts a color budget that always suffices, or
+    witness extraction meets a true table entry that no child state produces.
+    """

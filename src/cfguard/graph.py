@@ -140,18 +140,25 @@ def degeneracy(g: Graph) -> tuple[int, list[int]]:
     Repeatedly removes a minimum-degree vertex (smallest id on ties); the
     degeneracy is the largest degree seen at removal time.
     """
-    remaining = set(range(g.n))
+    import heapq  # here, not at the top, so importing the package does not load it
+
     deg = [len(g.adj[v]) for v in range(g.n)]
+    heap = [(deg[v], v) for v in range(g.n)]  # stale entries are skipped when popped
+    heapq.heapify(heap)
+    removed = [False] * g.n
     order = []
     d = 0
-    for _ in range(g.n):
-        v = min(remaining, key=lambda u: (deg[u], u))
-        d = max(d, deg[v])
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if removed[v] or dv != deg[v]:
+            continue
+        d = max(d, dv)
         order.append(v)
-        remaining.discard(v)
+        removed[v] = True
         for u in g.adj[v]:
-            if u in remaining:
+            if not removed[u]:
                 deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
     return d, order
 
 

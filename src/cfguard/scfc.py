@@ -19,12 +19,17 @@ import time
 from typing import Optional
 
 from .decomposition import NiceTreeDecomposition, make_nice, min_fill_decomposition
+from .errors import InternalConsistencyError
 from .graph import Coloring, Graph
-from .treedp import TreeDP, min_k, solve
+from .treedp import Codec, TreeDP, min_k, solve
 
 
-class _Codec:
-    """Bit layout of one bag position: c | S (one bit per color)."""
+class _Codec(Codec):
+    """Bit layout of one bag position: c | S (one bit per color).
+
+    No color renaming is exploited (the inherited empty key): a renaming
+    rewrites S as well as c, which would take a permutation per state.
+    """
 
     def __init__(self, k: int):
         self.k = k
@@ -32,7 +37,6 @@ class _Codec:
         self.vbits = self.cbits + k
         self.cmask = (1 << self.cbits) - 1
         self.smask = ((1 << k) - 1) << self.cbits
-        self.vmask = (1 << self.vbits) - 1
 
     def code(self, c: int, sset: int) -> int:
         return c | sset << self.cbits
@@ -108,8 +112,8 @@ class ScfcSolver(TreeDP):
         cd = self.cd
         vb = cd.vbits
         nbag = len(nd.bag)
-        keymask = self._spread(cd.cmask, nbag)
-        allsmask = self._spread(cd.smask, nbag)
+        keymask = cd.spread(cd.cmask, nbag)
+        allsmask = cd.spread(cd.smask, nbag)
         groups: dict[int, list[int]] = {}
         for s in t2:
             groups.setdefault(s & keymask, []).append(s)
@@ -147,7 +151,7 @@ class ScfcSolver(TreeDP):
         if cv:
             s &= ~(cd.sbit(cv) << pu * vb)
         if s not in table:
-            raise AssertionError("true edge entry without a producing child state")
+            raise InternalConsistencyError("true edge entry without a producing child state")
         return s
 
     def _extract_join(self, nd, state):
@@ -156,8 +160,8 @@ class ScfcSolver(TreeDP):
         t1 = self.tables[nd.children[0]]
         t2 = self.tables[nd.children[1]]
         nbag = len(nd.bag)
-        keymask = self._spread(cd.cmask, nbag)
-        allsmask = self._spread(cd.smask, nbag)
+        keymask = cd.spread(cd.cmask, nbag)
+        allsmask = cd.spread(cd.smask, nbag)
         key = state & keymask
         selfmask = 0
         for pos in range(nbag):
@@ -172,7 +176,7 @@ class ScfcSolver(TreeDP):
             s2 = key | (state & ~s1 & allsmask) | selfmask
             if s2 in t2:
                 return s1, s2
-        raise AssertionError("true join entry without consistent child states")
+        raise InternalConsistencyError("true join entry without consistent child states")
 
 
 def solve_scfc(

@@ -85,11 +85,23 @@ def sees(t: Terrain, i: int, j: int) -> bool:
 
 
 def visibility_graph(t: Terrain) -> Graph:
+    """The graph of the pairs that ``sees`` accepts, by one left-to-right sweep per vertex.
+
+    Sweeping right from vertex i, ``best`` is the steepest vertex seen from i
+    so far.  Vertex j is visible iff it is not right of the ray from i through
+    ``best`` (the same integer test as ``orientation(p_i, p_best, p_j) >= 0``),
+    and then j is the new ``best``.
+    """
+    pts = t.points
     edges = []
-    for i in range(t.n):
+    for i in range(t.n - 1):
+        ax, ay = pts[i]
+        bx, by = pts[i + 1]
         for j in range(i + 1, t.n):
-            if sees(t, i, j):
+            x, y = pts[j]
+            if (bx - ax) * (y - ay) - (by - ay) * (x - ax) >= 0:
                 edges.append((i, j))
+                bx, by = x, y
     return Graph(t.n, edges)
 
 

@@ -6,11 +6,24 @@ states of a freshly introduced vertex, the states a vertex may be forgotten
 in, and the forget, introduce-edge and join recurrences with their witness
 inverses; this module runs the bottom-up table pass, the top-down witness
 extraction, the timed decision call and the search for the smallest k.
+
+Renaming colors commutes with every recurrence, so every true table is
+closed under renamings and need store only one state per orbit.  A solver's
+codec names the bits of a position's field that a renaming rewrites
+(``canonfield``, the key) and ``canon_key(key, nbag)``, the key of its
+orbit's representative; the other bits stay as they are.  All states
+with one key share its canonical form, so it is memoized per key, not
+computed per state.  Introduce-edge and join never change the key, so their
+outputs stay canonical; introduce and forget move positions, so their
+outputs are canonicalized through memos, per (bag size, position), from a
+child key to its canonical outputs.  Witness extraction keeps real colors
+and canonicalizes only its table lookups.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Callable, Optional
 
 from .decomposition import FORGET, INTRODUCE, INTRODUCE_EDGE, LEAF, NiceTreeDecomposition
@@ -18,15 +31,83 @@ from .errors import InternalConsistencyError
 from .graph import Coloring, Graph
 
 
-class TreeDP:
-    """Sparse-table DP over ``ntd``; a table holds only the true states of its node.
+class Memo(dict):
+    """A dict that fills a missing entry with ``fill(key)``."""
 
-    A subclass sets ``codec`` (built from k, with the field width ``vbits``)
-    and defines ``intro_codes()``, the field codes of a freshly introduced
-    (isolated) vertex; ``forget_codes()``, the (field code, color) pairs a
-    vertex may be forgotten in, in witness preference order; the
-    ``_forget``, ``_introduce_edge`` and ``_join`` recurrences; and their
-    inverses ``_extract_edge`` and ``_extract_join``.
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class Codec:
+    """Bit layout of one bag position: ``vbits`` bits per position.
+
+    ``canonfield`` holds the bits of a field that a color renaming rewrites,
+    the key; ``canon_key(key, nbag)`` gives the key of the representative of
+    ``key``'s orbit.  By default no renaming is exploited: the key is empty
+    and every state is its own representative.
+    """
+
+    vbits: int
+    canonfield = 0
+
+    def spread(self, field: int, nbag: int) -> int:
+        """``field`` repeated at each of the first ``nbag`` bag positions."""
+        mask = 0
+        for pos in range(nbag):
+            mask |= field << pos * self.vbits
+        return mask
+
+    def canon_key(self, key: int, nbag: int) -> int:
+        return key
+
+
+def _intro_memo(cd: Codec, codes: tuple[int, ...], keymasks: Memo, canons: Memo, shape: tuple[int, int]) -> Memo:
+    """From a child key to the canonical states it gives with each intro code inserted at position ``pos``."""
+    nbag, pos = shape
+    shift = pos * cd.vbits
+    up = shift + cd.vbits
+    lowmask = (1 << shift) - 1
+    shifted = [code << shift for code in codes]
+    keymask, canon = keymasks[nbag], canons[nbag]
+
+    def outputs(key: int) -> tuple[int, ...]:
+        base = ((key >> shift) << up) | (key & lowmask)
+        out = {}
+        for code in shifted:
+            s = base | code
+            skey = s & keymask
+            out[canon[skey] | (s ^ skey)] = None
+        return tuple(out)
+
+    return Memo(outputs)
+
+
+def _drop_memo(cd: Codec, canons: Memo, shape: tuple[int, int]) -> Memo:
+    """From a key over ``nbag`` positions to the canonical key without position ``pos``."""
+    nbag, pos = shape
+    shift = pos * cd.vbits
+    up = shift + cd.vbits
+    lowmask = (1 << shift) - 1
+    canon = canons[nbag - 1]
+    return Memo(lambda key: canon[((key >> up) << shift) | (key & lowmask)])
+
+
+class TreeDP:
+    """Sparse-table DP over ``ntd``; a table holds the canonical true states of its node.
+
+    A subclass sets ``codec``, a ``Codec`` built from k, and defines
+    ``intro_codes()``, the field codes of a freshly introduced (isolated)
+    vertex; ``forget_codes()``, the (field code, color) pairs a vertex may be
+    forgotten in, in witness preference order; the ``_forget``,
+    ``_introduce_edge`` and ``_join`` recurrences; and their inverses
+    ``_extract_edge`` and ``_extract_join``.
     """
 
     codec: type
@@ -37,17 +118,15 @@ class TreeDP:
         self.g = g
         self.k = k
         self.ntd = ntd
-        self.cd = self.codec(k)
+        self.cd = cd = self.codec(k)
         self.tables: dict[int, set[int]] = {}
         self.states_evaluated = 0
-
-    def _spread(self, field: int, nbag: int) -> int:
-        """``field`` repeated at each of the first ``nbag`` bag positions."""
-        vb = self.cd.vbits
-        mask = 0
-        for pos in range(nbag):
-            mask |= field << pos * vb
-        return mask
+        # by bag size nbag, or by (nbag, position), then by key; no memo refers
+        # to the solver, whose tables are then freed as soon as it is dropped
+        self._keymasks = Memo(partial(cd.spread, cd.canonfield))
+        self._canon = Memo(lambda nbag: Memo(partial(cd.canon_key, nbag=nbag)))
+        self._intros = Memo(partial(_intro_memo, cd, self.intro_codes(), self._keymasks, self._canon))
+        self._drops = Memo(partial(_drop_memo, cd, self._canon))
 
     def run(self) -> bool:
         for i in self.ntd.postorder():
@@ -68,16 +147,22 @@ class TreeDP:
 
     def _introduce(self, nd) -> set[int]:
         child = self.tables[nd.children[0]]
-        vb = self.cd.vbits
+        nbag = len(nd.bag)
         pos = nd.bag.index(nd.vertex)
-        lowmask = (1 << pos * vb) - 1
-        shifted = [code << pos * vb for code in self.intro_codes()]
+        shift = pos * self.cd.vbits
+        up = shift + self.cd.vbits
+        lowmask = (1 << shift) - 1
+        keymask = self._keymasks[nbag - 1]
+        outputs = self._intros[nbag, pos]
         out = set()
         add = out.add
         for s in child:
-            base = ((s >> pos * vb) << (pos + 1) * vb) | (s & lowmask)
-            for sc in shifted:
-                add(base | sc)
+            key = s & keymask
+            rest = s ^ key
+            if rest:
+                rest = ((rest >> shift) << up) | (rest & lowmask)
+            for t in outputs[key]:
+                add(t | rest)
         return out
 
     # -- witness extraction -------------------------------------------------
@@ -107,19 +192,27 @@ class TreeDP:
                 stack.append((nd.children[1], s2))
         return Coloring(self.k, col)
 
+    def _flip(self, state: int, nbag: int) -> int:
+        """The mask whose xor takes any state with ``state``'s key to its representative."""
+        key = state & self._keymasks[nbag]
+        return key ^ self._canon[nbag][key]
+
     def _extract_forget(self, nd, state, col, forget_codes):
-        vb = self.cd.vbits
         child = nd.children[0]
         pos = self.ntd.nodes[child].bag.index(nd.vertex)
-        lowmask = (1 << pos * vb) - 1
-        base = ((state >> pos * vb) << (pos + 1) * vb) | (state & lowmask)
+        nbag = len(nd.bag) + 1
+        shift = pos * self.cd.vbits
+        lowmask = (1 << shift) - 1
+        base = ((state >> shift) << shift + self.cd.vbits) | (state & lowmask)
         table = self.tables[child]
+        keymask, canon = self._keymasks[nbag], self._canon[nbag]
         for code, c in forget_codes:
-            s = base | code << pos * vb
-            if s in table:
+            s = base | code << shift
+            key = s & keymask
+            if canon[key] | (s ^ key) in table:
                 col[nd.vertex] = c
                 return child, s
-        raise AssertionError("true forget entry without a producing child state")
+        raise InternalConsistencyError("true forget entry without a producing child state")
 
 
 def solve(solver: TreeDP, start: float, stats: Optional[dict]) -> Optional[Coloring]:

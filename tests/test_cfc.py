@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfguard.cfc import cf_number, solve_cfc
+from cfguard.cfc import CfcSolver, cf_number, solve_cfc
+from cfguard.decomposition import make_nice, min_fill_decomposition
 from cfguard.graph import (
     Graph,
     degeneracy,
@@ -98,6 +99,39 @@ class TestGoldenWitnesses:
     def test_cf_number(self, params, k, expected):
         kk, col = cf_number(random_graph(*params))
         assert (kk, col.assignment) == (k, expected)
+
+
+def first_appearance(cd, state: int, nbag: int) -> int:
+    """``state`` with colors renamed 1, 2, ... by first appearance, c before gamma, in bag order."""
+    label = {0: 0}
+    out = 0
+    for pos in range(nbag):
+        field = state >> pos * cd.vbits
+        c, gm, p = field & cd.cmask, ((field >> cd.cbits) & cd.gmask) + 1, (field >> cd.pofs) & 1
+        label.setdefault(c, len(label))
+        label.setdefault(gm, len(label))
+        out |= cd.code(label[c], label[gm], p) << pos * cd.vbits
+    return out
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("params,k", [((12, 0.2, 4), 3), ((8, 0.4, 5), 3), ((10, 0.35, 6), 2), ((9, 0.5, 2), 3)])
+    def test_tables_hold_only_representatives(self, params, k):
+        g = random_graph(*params)
+        solver = CfcSolver(g, k, make_nice(g, min_fill_decomposition(g)))
+        solver.run()
+        for i, table in solver.tables.items():
+            nbag = len(solver.ntd.nodes[i].bag)
+            for s in table:
+                assert first_appearance(solver.cd, s, nbag) == s
+
+    def test_one_state_per_orbit(self):
+        # at the parent of this layout the full tables held 11,167,569 states;
+        # 1,861,624 orbits of the 3! color renamings
+        stats = {}
+        col = solve_cfc(random_graph(8, 0.5, 94), 3, stats=stats)
+        assert stats["states_evaluated"] == 1861624
+        assert col.assignment == (0, 1, 0, 0, 2, 0, 0, 0)
 
 
 class TestCfNumber:

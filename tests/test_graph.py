@@ -99,6 +99,24 @@ class TestDegeneracy:
     def test_cycle(self):
         assert degeneracy(C4)[0] == 2
 
+    @pytest.mark.parametrize("n, p", [(30, 0.1), (60, 0.05), (40, 0.3), (200, 0.02)])
+    def test_matches_min_scan(self, n, p):
+        """Order and value equal those of a ``min`` over the remaining vertices, ties by smallest id."""
+        for seed in range(20):
+            g = random_graph(n, p, seed)
+            remaining = set(range(g.n))
+            deg = [len(g.adj[v]) for v in range(g.n)]
+            order, d = [], 0
+            while remaining:
+                v = min(remaining, key=lambda u: (deg[u], u))
+                d = max(d, deg[v])
+                order.append(v)
+                remaining.discard(v)
+                for u in g.adj[v]:
+                    if u in remaining:
+                        deg[u] -= 1
+            assert degeneracy(g) == (d, order)
+
     @settings(max_examples=40, deadline=None)
     @given(graphs())
     def test_greedy_bound_is_conflict_free(self, g):

@@ -61,6 +61,19 @@ class TestBasics:
         t = Terrain(((0, 0), (1, 1), (2, 2)))
         assert sees(t, 0, 2)
 
+    @pytest.mark.parametrize("n, y_hi", [(40, 3), (40, 15), (120, 1), (120, 40)])
+    def test_sweep_matches_pairwise_sees(self, n, y_hi):
+        # y in 0..1 or 0..3 makes long collinear runs, where a tie decides visibility
+        for seed in range(25):
+            t = random_terrain(n, 0, y_hi, seed)
+            want = {(i, j) for i in range(n) for j in range(i + 1, n) if sees(t, i, j)}
+            assert set(visibility_graph(t).edges) == want
+
+    def test_sweep_on_collinear_and_flat_runs(self):
+        t = Terrain(((0, 0), (1, 1), (2, 2), (3, 2), (4, 2), (6, 0), (7, 3), (8, 6)))
+        want = {(i, j) for i in range(t.n) for j in range(i + 1, t.n) if sees(t, i, j)}
+        assert set(visibility_graph(t).edges) == want
+
     @settings(max_examples=30, deadline=None)
     @given(terrains(12))
     def test_visibility_symmetric_and_chain(self, t):

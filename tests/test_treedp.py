@@ -1,15 +1,18 @@
 """The shared tree-DP code: minimum-k search statistics and the benchmark's tracing hooks."""
 
+import gc
 import os
 import sys
+import weakref
 
 import pytest
 
 import cfguard
-from cfguard.cfc import cf_number, solve_cfc
-from cfguard.decomposition import make_nice, min_fill_decomposition
+from cfguard.cfc import CfcSolver, cf_number, solve_cfc
+from cfguard.decomposition import FORGET, INTRODUCE_EDGE, JOIN, make_nice, min_fill_decomposition
+from cfguard.errors import InternalConsistencyError
 from cfguard.graph import random_graph
-from cfguard.scfc import scf_number, solve_scfc
+from cfguard.scfc import ScfcSolver, scf_number, solve_scfc
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -28,6 +31,35 @@ def test_min_k_stats_sum_every_k(search, solve, n, p, seed):
         total += sub["states_evaluated"]
     assert stats["states_evaluated"] == total
     assert set(stats) == {"nodes", "states_evaluated", "width", "millis"}
+
+
+@pytest.mark.parametrize("solver_class", [CfcSolver, ScfcSolver])
+@pytest.mark.parametrize("kind", [FORGET, INTRODUCE_EDGE, JOIN])
+def test_extraction_reports_a_missing_child_state(solver_class, kind):
+    """Extraction walks every node, so a node whose child table lost its states cannot be traced back."""
+    g = random_graph(12, 0.2, 4)
+    solver = solver_class(g, 3, make_nice(g, min_fill_decomposition(g)))
+    assert solver.run()
+    node = next(nd for nd in solver.ntd.nodes if nd.kind == kind)
+    solver.tables[node.children[0]].clear()
+    with pytest.raises(InternalConsistencyError):
+        solver.extract()
+
+
+@pytest.mark.parametrize("solver_class", [CfcSolver, ScfcSolver])
+def test_solver_freed_without_cycle_collection(solver_class):
+    """No memo refers back to the solver, so its tables go when the last reference does."""
+    g = random_graph(10, 0.35, 6)
+    solver = solver_class(g, 2, make_nice(g, min_fill_decomposition(g)))
+    if solver.run():
+        solver.extract()
+    ref = weakref.ref(solver)
+    gc.disable()
+    try:
+        del solver
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_benchmark_tracer_hooks():
